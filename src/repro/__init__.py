@@ -27,27 +27,21 @@ Quickstart::
 
 Lower layers remain importable for composition: :mod:`repro.engine` (the
 expert engine and the :class:`~repro.engine.EngineBackend` protocol with
-local and sharded implementations), :mod:`repro.workloads`,
-:mod:`repro.core` (the paper's contribution), :mod:`repro.baselines`, and
-:mod:`repro.experiments`.  The old top-level ``repro.FossTrainer`` /
-``repro.FossOptimizer`` shortcuts still resolve but emit a
-``DeprecationWarning`` pointing at :mod:`repro.api`.
+local, sharded and remote implementations), :mod:`repro.workloads`,
+:mod:`repro.core` (the paper's contribution, including ``FossTrainer`` and
+``FossOptimizer``), :mod:`repro.baselines`, and :mod:`repro.experiments`.
 """
-
-import importlib
-import warnings
 
 from repro.core import FossConfig
 from repro.engine import Database, Dataset, EngineBackend, LocalBackend, ShardedBackend
 from repro.workloads import build_workload_by_name
 
-__version__ = "1.1.0"
+# The single version source: setup.py reads it from this file.
+__version__ = "1.3.0"
 
 __all__ = [
     "api",
-    "FossTrainer",
     "FossConfig",
-    "FossOptimizer",
     "Database",
     "Dataset",
     "EngineBackend",
@@ -56,25 +50,3 @@ __all__ = [
     "build_workload_by_name",
     "__version__",
 ]
-
-# Old constructor paths the repro.api facade replaces: still importable,
-# but attribute access warns.  (Internal code imports these from
-# repro.core directly, which stays silent.)
-_DEPRECATED_EXPORTS = {
-    "FossTrainer": ("repro.core.trainer", "repro.api.FossSession"),
-    "FossOptimizer": ("repro.core.inference", "repro.api.FossSession.optimizer()"),
-}
-
-
-def __getattr__(name):
-    if name == "api":
-        return importlib.import_module("repro.api")
-    if name in _DEPRECATED_EXPORTS:
-        module_name, replacement = _DEPRECATED_EXPORTS[name]
-        warnings.warn(
-            f"repro.{name} is deprecated; use {replacement} (see repro.api)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(importlib.import_module(module_name), name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -6,7 +6,7 @@
   ``flow.many-methods`` that takes a ``ctxs`` parameter) must consult
   ``ctxs`` on **every** path that reaches planning/execution work (a
   call named in ``flow.work-calls``).  "Consult" is any read of the
-  parameter — the ``if ctxs is None`` fast path, ``_split_expired``,
+  parameter — the ``if ctxs is None`` fast path, ``split_live``,
   or forwarding ``ctxs=`` into the work call itself;
 * every ``repro.api`` function that mints a :class:`RequestContext`
   into a local variable (``flow.mint-calls``) must use that context on
@@ -169,7 +169,7 @@ def _check_many_method(
                 line,
                 f"{func.name}() reaches planning work {name}() on a path that "
                 f"never consulted its ctxs parameter: check ctxs (or "
-                f"context_expired/_split_expired) before the batch is handed "
+                f"context_expired/split_live) before the batch is handed "
                 f"to the engine, or forward ctxs= into the call",
             )
 

@@ -21,7 +21,11 @@ imported on first use::
 
 Every factory takes ``(session, **kwargs)`` and returns an object with
 ``optimize(query) -> OptimizedPlan``; trainable methods additionally expose
-``train(queries, iterations=...)``.
+``train(queries, iterations=...)``.  An optimizer that also offers a batch
+``optimize_many`` must accept ``optimize_many(queries, ctxs=...)``: the
+serving layer passes aligned request contexts whenever any request in the
+batch carries one, and expects a ``DeadlineExceededError`` in the slot of
+each expired request (FOSS's ``optimize_many`` is the reference).
 """
 
 from __future__ import annotations

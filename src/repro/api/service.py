@@ -61,7 +61,6 @@ the optimizer, so their plans stay bitwise-identical.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import threading
 import time
@@ -82,6 +81,7 @@ from repro.api.context import (
 )
 from repro.core.inference import OptimizedPlan, OptimizeError, bind_sql
 from repro.engine.backend import EngineBackend
+from repro.engine.database import context_expired, deadline_error
 from repro.executor.engine import ExecutionResult
 from repro.sql.ast import Query
 
@@ -287,9 +287,6 @@ class OptimizerService:
         # Open root spans by ticket id (traced requests only); ended by
         # _store_result, the single funnel every outcome passes through.
         self._open_spans: Dict[int, obs.Span] = {}
-        # Whether optimizer.optimize_many accepts a ctxs kwarg; probed
-        # lazily (inspect.signature) and cached.
-        self._many_accepts_ctxs: Optional[bool] = None
 
     # ------------------------------------------------------------------
     # background flusher lifecycle
@@ -910,10 +907,7 @@ class OptimizerService:
             return
         with self._lock:
             self._m_expired.inc()
-        raise DeadlineExceededError(
-            f"request {ctx.request_id} exceeded its {ctx.deadline_s}s "
-            f"deadline before {what}"
-        )
+        raise deadline_error(ctx, what)
 
     def _bind_counted(self, sql: str) -> Query:
         try:
@@ -992,11 +986,12 @@ class OptimizerService:
         batch would have).
 
         ``ctxs`` (aligned with ``queries``) threads deadlines into the
-        optimizer: a context-aware ``optimize_many`` (the FOSS
-        optimizer's) gets them directly; otherwise the service checks
-        budgets itself and slots a :class:`DeadlineExceededError` for
-        items that expired.  All-``None`` contexts are normalized away so
-        the no-deadline path is byte-for-byte the pre-context call.
+        optimizer.  A registered optimizer's ``optimize_many`` takes them
+        as ``ctxs=`` and slots a :class:`DeadlineExceededError` for items
+        that expired (the FOSS optimizer's contract); an optimizer with
+        only ``optimize`` gets the same check here, per item.  All-``None``
+        contexts are normalized away so the no-deadline path is
+        byte-for-byte the pre-context call.
         """
         if ctxs is not None and not any(ctx is not None for ctx in ctxs):
             ctxs = None
@@ -1005,52 +1000,21 @@ class OptimizerService:
             if many is not None:
                 try:
                     if ctxs is not None:
-                        if self._optimizer_accepts_ctxs(many):
-                            return list(many(queries, ctxs=ctxs))
-                        return self._optimize_split_expired(many, queries, ctxs)
+                        return list(many(queries, ctxs=ctxs))
                     return list(many(queries))
                 except OptimizeError:
                     pass
             outcomes: List[object] = []
             for index, query in enumerate(queries):
                 ctx = ctxs[index] if ctxs is not None else None
-                if ctx is not None and ctx.expired():
-                    outcomes.append(self._deadline_error(ctx))
+                if context_expired(ctx):
+                    outcomes.append(deadline_error(ctx, "optimization began"))
                     continue
                 try:
                     outcomes.append(self.optimizer.optimize(query))
                 except OptimizeError as exc:
                     outcomes.append(exc)
             return outcomes
-
-    def _optimizer_accepts_ctxs(self, many) -> bool:
-        """Whether ``optimize_many`` takes a ``ctxs`` kwarg (probed once)."""
-        if self._many_accepts_ctxs is None:
-            try:
-                self._many_accepts_ctxs = "ctxs" in inspect.signature(many).parameters
-            except (TypeError, ValueError):  # builtins/C callables
-                self._many_accepts_ctxs = False
-        return self._many_accepts_ctxs
-
-    def _optimize_split_expired(self, many, queries: Sequence[Query], ctxs) -> List[object]:
-        """Batch path for optimizers without ``ctxs``: the service drops
-        expired items itself and batches the live remainder."""
-        expired = [ctx is not None and ctx.expired() for ctx in ctxs]
-        if not any(expired):
-            return list(many(queries))
-        live = [query for query, dead in zip(queries, expired) if not dead]
-        live_results = iter(many(live) if live else [])
-        return [
-            self._deadline_error(ctx) if dead else next(live_results)
-            for dead, ctx in zip(expired, ctxs)
-        ]
-
-    @staticmethod
-    def _deadline_error(ctx: RequestContext) -> DeadlineExceededError:
-        return DeadlineExceededError(
-            f"request {ctx.request_id} exceeded its {ctx.deadline_s}s "
-            f"deadline before optimization began"
-        )
 
     def _store_result(self, result: TicketResult) -> None:
         # Caller holds _lock.

@@ -122,12 +122,23 @@ class BatchedEpisodeRunner:
         environment,
         queries: Sequence[Query],
         deterministic: bool = False,
+        ctxs: Optional[Sequence] = None,
     ) -> List[Episode]:
-        """Run one episode per query; results keep the input order."""
+        """Run one episode per query; results keep the input order.
+
+        ``ctxs`` (request contexts aligned with ``queries``) are sliced
+        per cohort and handed to the environment's ``begin_episode_many``.
+        """
         episodes: List[Episode] = []
         for start in range(0, len(queries), self.batch_size):
+            stop = start + self.batch_size
             episodes.extend(
-                self._run_cohort(environment, queries[start : start + self.batch_size], deterministic)
+                self._run_cohort(
+                    environment,
+                    queries[start:stop],
+                    deterministic,
+                    None if ctxs is None else ctxs[start:stop],
+                )
             )
         return episodes
 
@@ -137,13 +148,14 @@ class BatchedEpisodeRunner:
         environment,
         queries: Sequence[Query],
         deterministic: bool,
+        ctxs: Optional[Sequence] = None,
     ) -> List[Episode]:
         planner = self.planner
         cfg = planner.config
 
         # One batch call fetches every episode's original plan/latency (a
         # sharded engine fans the cohort out across workers).
-        contexts = self._begin_episode_many(environment, queries)
+        contexts = self._begin_episode_many(environment, queries, ctxs)
 
         lives: List[_LiveEpisode] = []
         for query, ctx in zip(queries, contexts):
@@ -264,11 +276,13 @@ class BatchedEpisodeRunner:
     # object that satisfies the original single-call protocol still works.
     # ------------------------------------------------------------------
     @staticmethod
-    def _begin_episode_many(environment, queries) -> List[EpisodeContext]:
+    def _begin_episode_many(environment, queries, ctxs=None) -> List[EpisodeContext]:
         batch = getattr(environment, "begin_episode_many", None)
-        if batch is not None:
+        if batch is None:
+            return [environment.begin_episode(query) for query in queries]
+        if ctxs is None:
             return batch(queries)
-        return [environment.begin_episode(query) for query in queries]
+        return batch(queries, ctxs=ctxs)
 
     @staticmethod
     def _plan_with_hints_many(database, requests):

@@ -1,7 +1,7 @@
 """Experience buffers: executed-plan records and PPO rollouts.
 
-This is the single home for both experience stores (``repro.rl.buffer`` is
-a compatibility re-export):
+This is the single home for both experience stores (:mod:`repro.rl`
+re-exports the rollout types):
 
 * :class:`ExecutionBuffer` — every plan FOSS has executed in the real
   environment.  It feeds three consumers (paper Fig. 3): reference sets for

@@ -17,17 +17,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from repro.core.aam import AdvantageModel
 from repro.core.encoding import PlanEncoder
 from repro.core.icp import IncompletePlan
 from repro.core.planner import Episode, Planner
-from repro.core.simenv import AdvantageRequest, EpisodeContext
+from repro.core.simenv import AdvantageRequest, EpisodeContext, ScoreCache
 from repro.engine.backend import EngineBackend
-from repro.optimizer.plans import PlanNode, plan_signature
+from repro.engine.database import context_expired, deadline_error, split_live
+from repro.optimizer.plans import PlanNode
 from repro.sql.ast import Query
 
 
@@ -79,8 +78,8 @@ class _InferenceEnvironment:
 
     ``begin_episode`` must not execute anything (optimization time excludes
     execution), so the context carries a dummy latency.  Advantage queries
-    go through a version-aware score cache and are flushed in batches, the
-    same mechanism the simulated training environment uses.
+    go through the :class:`~repro.core.simenv.ScoreCache` the simulated
+    training environment uses, keyed by the AAM's own version.
     """
 
     def __init__(self, database: EngineBackend, aam: AdvantageModel, encoder: PlanEncoder, max_steps: int) -> None:
@@ -88,40 +87,20 @@ class _InferenceEnvironment:
         self.aam = aam
         self.encoder = encoder
         self.max_steps = max_steps
-        # Dropped wholesale when it outgrows the cap: a deployed optimizer
-        # streaming distinct queries must not accumulate entries forever.
-        self._score_cache: Dict[Tuple[int, str, str, int, str, int], int] = {}
-        self.score_cache_capacity = 1_000_000
-        self._staged_ctxs: Optional[Sequence] = None
-
-    def stage_ctxs(self, ctxs: Optional[Sequence]) -> None:
-        """Stage request contexts for the *next* ``begin_episode_many``.
-
-        ``BatchedEpisodeRunner`` calls ``begin_episode_many(queries)``
-        with no room for contexts, so :meth:`FossOptimizer.optimize_many`
-        stages them here (only for traced batches) and the first planning
-        call consumes them.  Untraced batches never stage, keeping the
-        backend call — and therefore any wire frames — identical to
-        pre-obs behavior.
-        """
-        self._staged_ctxs = ctxs
+        self.score_cache = ScoreCache(aam, encoder, max_steps)
 
     def begin_episode(self, query: Query) -> EpisodeContext:
         return self.begin_episode_many([query])[0]
 
-    def begin_episode_many(self, queries: Sequence[Query]) -> List[EpisodeContext]:
-        ctxs, self._staged_ctxs = self._staged_ctxs, None
-        if ctxs is not None and len(ctxs) == len(queries):
-            plannings = self.database.plan_many(queries, ctxs=ctxs)
-            if any(planning is None for planning in plannings):
-                # A context expired between the optimizer's own pre-check
-                # and the backend batch; fall back to the caller's
-                # one-at-a-time path, which reports expiry per item.
-                raise DeadlineExceededError(
-                    "a request's deadline expired during batch planning"
-                )
-        else:
-            plannings = self.database.plan_many(queries)
+    def begin_episode_many(self, queries: Sequence[Query], ctxs=None) -> List[EpisodeContext]:
+        plannings = self.database.plan_many(queries, ctxs=ctxs)
+        if ctxs is not None and any(planning is None for planning in plannings):
+            # A context expired between the optimizer's own pre-check
+            # and the backend batch; fall back to the caller's
+            # one-at-a-time path, which reports expiry per item.
+            raise DeadlineExceededError(
+                "a request's deadline expired during batch planning"
+            )
         return [
             EpisodeContext(
                 query=query,
@@ -135,57 +114,7 @@ class _InferenceEnvironment:
 
     # ------------------------------------------------------------------
     def advantage_many(self, requests: Sequence[AdvantageRequest]) -> List[int]:
-        keys = [
-            (
-                self.aam.version,
-                ctx.query.signature(),
-                plan_signature(left_plan),
-                left_step,
-                plan_signature(right_plan),
-                right_step,
-            )
-            for ctx, left_plan, left_step, right_plan, right_step in requests
-        ]
-        resolved: Dict[Tuple[int, str, str, int, str, int], int] = {}
-        miss_keys: List[Tuple[int, str, str, int, str, int]] = []
-        miss_requests: List[AdvantageRequest] = []
-        for key, request in zip(keys, requests):
-            if key in resolved:
-                continue
-            hit = self._score_cache.get(key)
-            if hit is not None:
-                resolved[key] = hit
-            else:
-                resolved[key] = -1  # placeholder, filled by the flush below
-                miss_keys.append(key)
-                miss_requests.append(request)
-        if miss_requests:
-            sides = self._statevecs(
-                [(ctx.query, plan, step) for ctx, plan, step, _, _ in miss_requests]
-                + [(ctx.query, plan, step) for ctx, _, _, plan, step in miss_requests]
-            )
-            vec_l, vec_r = sides[: len(miss_requests)], sides[len(miss_requests) :]
-            scores = self.aam.predict_scores_from_statevecs(vec_l, vec_r)
-            if len(self._score_cache) + len(miss_keys) > self.score_cache_capacity:
-                self._score_cache.clear()
-            for key, score in zip(miss_keys, scores):
-                resolved[key] = int(score)
-                self._score_cache[key] = int(score)
-        return [resolved[key] for key in keys]
-
-    def _statevecs(self, items) -> np.ndarray:
-        return self.aam.statevecs_lazy(
-            [
-                (
-                    query.signature(),
-                    plan_signature(plan),
-                    (query, plan),
-                    step / self.max_steps,
-                )
-                for query, plan, step in items
-            ],
-            self.encoder,
-        )
+        return self.score_cache.scores(requests, self.aam.version)
 
     def advantage(self, ctx, left_plan, left_step, right_plan, right_step) -> int:
         return self.advantage_many([(ctx, left_plan, left_step, right_plan, right_step)])[0]
@@ -240,11 +169,8 @@ class FossOptimizer:
         passed raises :class:`DeadlineExceededError` before any episode
         runs.
         """
-        if ctx is not None and ctx.expired():
-            raise DeadlineExceededError(
-                f"request {ctx.request_id} exceeded its {ctx.deadline_s}s "
-                f"deadline before optimization began"
-            )
+        if context_expired(ctx):
+            raise deadline_error(ctx, "optimization began")
         return self.optimize_many([query])[0]
 
     def optimize_many(self, queries: Sequence, ctxs=None) -> List[OptimizedPlan]:
@@ -261,54 +187,36 @@ class FossOptimizer:
         instead of an :class:`OptimizedPlan` (callers that pass ``ctxs``
         must check).  Without ``ctxs`` (or with no expired entries) the
         batch is processed exactly as before, so plans stay bitwise
-        identical to pre-context serving.
+        identical to pre-context serving.  Traced contexts also ride every
+        cohort's planning call, so the engine's spans join the caller's
+        trace.
         """
         if not queries:
             return []
-        if ctxs is not None:
-            if len(ctxs) != len(queries):
-                raise ValueError(
-                    f"ctxs length {len(ctxs)} != queries length {len(queries)}"
-                )
-            expired = [ctx is not None and ctx.expired() for ctx in ctxs]
-            if any(expired):
-                live = [q for q, dead in zip(queries, expired) if not dead]
-                live_results = iter(self.optimize_many(live) if live else [])
-                out: List[OptimizedPlan] = []
-                for query, dead, ctx in zip(queries, expired, ctxs):
-                    if dead:
-                        out.append(
-                            DeadlineExceededError(
-                                f"request {ctx.request_id} exceeded its "
-                                f"{ctx.deadline_s}s deadline before "
-                                f"optimization began"
-                            )
-                        )
-                    else:
-                        out.append(next(live_results))
-                return out
+        live = split_live(ctxs, len(queries))
+        if live is not None:
+            out: List = [None] * len(queries)
+            for index, result in zip(live, self.optimize_many([queries[i] for i in live])):
+                out[index] = result
+            return [
+                deadline_error(ctx, "optimization began") if result is None else result
+                for result, ctx in zip(out, ctxs)
+            ]
         queries = [
             bind_sql(self.database, query) if isinstance(query, str) else query
             for query in queries
         ]
-        # Traced batches stage their contexts on the environment so the
-        # first backend planning call joins the caller's span tree; the
+        # Only traced batches hand their contexts to the engine; the
         # getattr keeps this duck-typed (no api import below the api
-        # layer) and free for untraced batches.
-        traced = ctxs is not None and any(
-            ctx is not None and getattr(ctx, "trace_id", None) for ctx in ctxs
-        )
-        if traced:
-            self._environment.stage_ctxs(list(ctxs))
+        # layer), and untraced backend calls — and therefore any wire
+        # frames — stay identical to context-free ones.
+        if ctxs is not None and not any(getattr(ctx, "trace_id", None) for ctx in ctxs):
+            ctxs = None
         start = time.perf_counter()
-        try:
-            per_agent: List[List[Episode]] = [
-                runner.run(self._environment, queries, deterministic=True)
-                for runner in self._runners
-            ]
-        finally:
-            if traced:
-                self._environment.stage_ctxs(None)
+        per_agent: List[List[Episode]] = [
+            runner.run(self._environment, queries, deterministic=True, ctxs=ctxs)
+            for runner in self._runners
+        ]
         results: List[OptimizedPlan] = []
         contexts = [episodes[0].context for episodes in zip(*per_agent)]
 

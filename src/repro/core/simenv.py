@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.aam import AdvantageModel
 from repro.core.buffer import ExecutionBuffer
 from repro.core.encoding import EncodedPlan, PlanEncoder
@@ -47,6 +45,82 @@ class EpisodeContext:
 
 # One advantage query: (ctx, left_plan, left_step, right_plan, right_step).
 AdvantageRequest = Tuple["EpisodeContext", PlanNode, int, PlanNode, int]
+# (model version, query, left plan, left step, right plan, right step).
+ScoreKey = Tuple[int, str, str, int, str, int]
+
+
+class ScoreCache:
+    """Discretized AAM advantage scores, keyed by model version and pair.
+
+    The one score cache behind both AAM-scored environments: training's
+    :class:`SimulatedEnvironment` and the deployed optimizer's scoring
+    environment.  A hit costs one dict probe.  Misses are deduplicated
+    within the batch, and both sides of every missed pair go through one
+    statevec flush (the AAM's own version-keyed cache, also hit by the
+    planner's policy states; hits skip plan encoding) and one
+    :meth:`AdvantageModel.predict_scores_from_statevecs` call, so a
+    lockstep cohort costs one AAM forward per step.
+
+    Bounded: an insert that would pass ``capacity`` drops the cache
+    wholesale first, so a deployed optimizer streaming distinct queries
+    cannot accumulate entries forever.
+    """
+
+    def __init__(
+        self,
+        aam: AdvantageModel,
+        encoder: PlanEncoder,
+        max_steps: int,
+        capacity: int = 1_000_000,
+    ) -> None:
+        self.aam = aam
+        self.encoder = encoder
+        self.max_steps = max_steps
+        self.capacity = capacity
+        self._scores: Dict[ScoreKey, int] = {}
+
+    def clear(self) -> None:
+        self._scores.clear()
+
+    def scores(self, requests: Sequence[AdvantageRequest], version: int) -> List[int]:
+        """Scores for a batch of advantage queries under model ``version``."""
+        keys = [
+            (
+                version,
+                ctx.query.signature(),
+                plan_signature(left_plan),
+                left_step,
+                plan_signature(right_plan),
+                right_step,
+            )
+            for ctx, left_plan, left_step, right_plan, right_step in requests
+        ]
+        out = list(map(self._scores.get, keys))
+        if None not in out:
+            return out
+        misses: Dict[ScoreKey, AdvantageRequest] = {}
+        for key, score, request in zip(keys, out, requests):
+            if score is None:
+                misses.setdefault(key, request)
+        pairs = list(misses.values())
+        sides = [(ctx.query, plan, step) for ctx, plan, step, _, _ in pairs] + [
+            (ctx.query, plan, step) for ctx, _, _, plan, step in pairs
+        ]
+        vecs = self.aam.statevecs_lazy(
+            [
+                (query.signature(), plan_signature(plan), (query, plan), step / self.max_steps)
+                for query, plan, step in sides
+            ],
+            self.encoder,
+        )
+        predicted = self.aam.predict_scores_from_statevecs(
+            vecs[: len(pairs)], vecs[len(pairs) :]
+        )
+        fresh = {key: int(score) for key, score in zip(misses, predicted)}
+        if len(self._scores) + len(fresh) > self.capacity:
+            self._scores.clear()
+        self._scores.update(fresh)
+        return [fresh[key] if score is None else score for key, score in zip(keys, out)]
 
 
 class RealEnvironment:
@@ -223,7 +297,7 @@ class SimulatedEnvironment:
         self.max_steps = max_steps
         self.advantage_fn = advantage if advantage is not None else AdvantageFunction()
         self.aam_version = 0
-        self._score_cache: Dict[Tuple[int, str, str, int, str, int], int] = {}
+        self.score_cache = ScoreCache(aam, encoder, max_steps)
         # Promising plans awaiting validation in the real environment.
         self.validation_queue: List[Tuple[Query, PlanNode, int]] = []
         self.validation_capacity = validation_capacity
@@ -277,67 +351,14 @@ class SimulatedEnvironment:
         stale; only the discretized scores are keyed by this environment.)
         """
         self.aam_version += 1
-        self._score_cache.clear()
+        self.score_cache.clear()
 
     def encode(self, query: Query, plan: PlanNode) -> EncodedPlan:
         return self.encoder.encode(query, plan)
 
-    def _score_key(self, request: AdvantageRequest) -> Tuple[int, str, str, int, str, int]:
-        ctx, left_plan, left_step, right_plan, right_step = request
-        return (
-            self.aam_version,
-            ctx.query.signature(),
-            plan_signature(left_plan),
-            left_step,
-            plan_signature(right_plan),
-            right_step,
-        )
-
     def advantage_many(self, requests: Sequence[AdvantageRequest]) -> List[int]:
-        """Resolve a batch of advantage queries through the score cache.
-
-        Cache misses (deduplicated within the batch) are flushed through one
-        :meth:`AdvantageModel.predict_scores` call, so a lockstep cohort of
-        episodes costs one AAM forward pass per step instead of one per
-        episode.
-        """
-        keys = [self._score_key(request) for request in requests]
-        miss_order: List[Tuple[int, str, str, int, str, int]] = []
-        miss_requests: List[AdvantageRequest] = []
-        seen_misses = set()
-        for key, request in zip(keys, requests):
-            if key not in self._score_cache and key not in seen_misses:
-                seen_misses.add(key)
-                miss_order.append(key)
-                miss_requests.append(request)
-        if miss_requests:
-            # One statevec flush covers both sides of every pair.
-            sides = self._statevecs(
-                [(ctx.query, plan, step) for ctx, plan, step, _, _ in miss_requests]
-                + [(ctx.query, plan, step) for ctx, _, _, plan, step in miss_requests]
-            )
-            vec_l, vec_r = sides[: len(miss_requests)], sides[len(miss_requests) :]
-            scores = self.aam.predict_scores_from_statevecs(vec_l, vec_r)
-            for key, score in zip(miss_order, scores):
-                self._score_cache[key] = int(score)
-        return [self._score_cache[key] for key in keys]
-
-    def _statevecs(self, items: Sequence[Tuple[Query, PlanNode, int]]) -> np.ndarray:
-        """Statevecs for (query, plan, step) triples via the AAM's shared
-        version-keyed cache (also hit by the planner's policy states).
-        Cache hits skip plan encoding entirely (lazy miss-only encoding)."""
-        return self.aam.statevecs_lazy(
-            [
-                (
-                    query.signature(),
-                    plan_signature(plan),
-                    (query, plan),
-                    step / self.max_steps,
-                )
-                for query, plan, step in items
-            ],
-            self.encoder,
-        )
+        """Resolve a batch of advantage queries through the score cache."""
+        return self.score_cache.scores(requests, self.aam_version)
 
     def advantage(
         self,

@@ -19,6 +19,10 @@ TCP socket):
   routed by request key (CRC of the query/plan signature), so repeat visits
   to the same ICP or plan land on the same worker and stay cache-hot.
 
+Both out-of-process backends share one client half,
+:class:`MemoizingClient` (metadata mirror, deadline split, planning memo);
+each adds only its transport.
+
 Determinism: the engine is a pure function of the dataset (virtual-time
 execution, deterministic DP enumeration, seeded statistics), and workers
 rebuild that dataset from the same spec — so every backend returns bitwise
@@ -50,6 +54,7 @@ from repro.engine.database import (
     PlanningResult,
     context_expired,
     raise_deadline,
+    split_live,
 )
 from repro.executor.engine import ExecutionResult
 from repro.optimizer.dp import OptimizerOptions
@@ -218,6 +223,202 @@ class PlanningMemo:
             self._memo.clear()
 
 
+class MemoizingClient:
+    """The client half shared by the out-of-process backends.
+
+    :class:`ShardedBackend` (worker pipes) and
+    :class:`~repro.engine.remote.client.RemoteBackend` (a socket pool)
+    keep an in-process mirror engine, ``local``, for metadata, SQL binding
+    and EXPLAIN, and answer every batch call the same way:
+
+    1. drop expired items (:func:`~repro.engine.database.split_live`):
+       they never reach the memo or the transport, and their slots come
+       back ``None``;
+    2. look the live planning requests up in a :class:`PlanningMemo` and
+       deduplicate the misses (executions are not memoized here);
+    3. fetch the misses in one transport call, each deduplicated key under
+       the context of the *first* live request that asked for it;
+    4. fill the memo and put every result back in request order.
+
+    A backend supplies only its transport: the fetch hooks
+    ``_fetch_plans(queries, options, keys, ctxs)``,
+    ``_fetch_hints(requests, keys, ctxs)`` and
+    ``_fetch_executions(requests, ctxs)`` (``keys`` are the misses' memo
+    keys), plus ``_execute_uncached``, ``executions``, ``clear_caches``,
+    ``stats`` and ``close``.
+    """
+
+    def __init__(self, local: Database) -> None:
+        self.local = local
+        self._closed = False
+        self._plan_memo = PlanningMemo(local.hint_cache_capacity)
+        self._hint_memo = PlanningMemo(local.hint_cache_capacity)
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError(f"{type(self).__name__} is closed")
+
+    def __enter__(self) -> "MemoizingClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __del__(self) -> None:  # pragma: no cover - GC ordering varies
+        try:
+            self.close()
+        except Exception:
+            pass
+
+    # ------------------------------------------------------------------
+    # metadata: served by the mirror engine
+    # ------------------------------------------------------------------
+    @property
+    def dataset(self) -> Dataset:
+        return self.local.dataset
+
+    @property
+    def schema(self):
+        return self.local.schema
+
+    @property
+    def statistics(self):
+        return self.local.statistics
+
+    @property
+    def storage(self):
+        return self.local.storage
+
+    def sql(self, text: str, name: str = "") -> Query:
+        # Parse/bind is a pure function of the (identical) schema, so
+        # binding locally saves a round trip per query.
+        return self.local.sql(text, name=name)
+
+    def explain(self, plan: PlanNode) -> str:
+        return self.local.explain(plan)
+
+    def original_latency(self, query: Query) -> float:
+        planning = self.plan(query)
+        return self.execute(query, planning.plan).latency_ms
+
+    # ------------------------------------------------------------------
+    # singletons: deadline check, then a one-item batch
+    # ------------------------------------------------------------------
+    def plan(
+        self, query: Query, options: Optional[OptimizerOptions] = None, ctx=None
+    ) -> PlanningResult:
+        if context_expired(ctx):
+            raise_deadline(ctx, "planning")
+        return self.plan_many([query], options)[0]
+
+    def plan_with_hints(
+        self,
+        query: Query,
+        join_order: Sequence[str],
+        join_methods: Sequence[str],
+        ctx=None,
+    ) -> PlanningResult:
+        if context_expired(ctx):
+            raise_deadline(ctx, "hint completion")
+        return self.plan_with_hints_many([(query, join_order, join_methods)])[0]
+
+    def execute(
+        self,
+        query: Query,
+        plan: PlanNode,
+        timeout_ms: Optional[float] = None,
+        use_cache: bool = True,
+        ctx=None,
+    ) -> ExecutionResult:
+        if context_expired(ctx):
+            raise_deadline(ctx, "execution")
+        if not use_cache:
+            return self._execute_uncached(query, plan, timeout_ms, ctx)
+        return self.execute_many([(query, plan, timeout_ms)])[0]
+
+    # ------------------------------------------------------------------
+    # batches
+    # ------------------------------------------------------------------
+    def plan_many(
+        self,
+        queries: Sequence[Query],
+        options: Optional[OptimizerOptions] = None,
+        ctxs=None,
+    ) -> List[Optional[PlanningResult]]:
+        suffix = "" if options is None else f"@{options.signature()}"
+        return self._batch(
+            queries,
+            ctxs,
+            lambda misses, keys, miss_ctxs: self._fetch_plans(misses, options, keys, miss_ctxs),
+            self._plan_memo,
+            lambda query: query.signature() + suffix,
+        )
+
+    def plan_with_hints_many(
+        self,
+        requests: Sequence[Tuple[Query, Sequence[str], Sequence[str]]],
+        ctxs=None,
+    ) -> List[Optional[PlanningResult]]:
+        return self._batch(
+            [(query, tuple(order), tuple(methods)) for query, order, methods in requests],
+            ctxs,
+            self._fetch_hints,
+            self._hint_memo,
+            lambda request: (request[0].signature(), request[1], request[2]),
+        )
+
+    def execute_many(
+        self,
+        requests: Sequence[Tuple[Query, PlanNode, Optional[float]]],
+        ctxs=None,
+    ) -> List[Optional[ExecutionResult]]:
+        return self._batch(list(requests), ctxs, self._fetch_executions)
+
+    def _batch(self, items: Sequence, ctxs, fetch, memo=None, key=None) -> List:
+        """One batch call through steps 1-4 of the class docstring.
+
+        Without a ``memo`` every live item travels, as
+        ``fetch(items, ctxs)``; with one, only the deduplicated misses do,
+        as ``fetch(items, keys, ctxs)`` with their memo keys ``key(item)``.
+        """
+        self._check_open()
+        count = len(items)
+        live = split_live(ctxs, count)
+        if live is not None:
+            items = [items[i] for i in live]
+            ctxs = [ctxs[i] for i in live]
+        if memo is None:
+            results = fetch(items, ctxs) if items else []
+        else:
+            keys = [key(item) for item in items]
+            resolved, miss_keys, miss_items = memo.lookup(keys, items)
+            if miss_items:
+                miss_ctxs = None
+                if ctxs is not None:
+                    first_ctx: Dict = {}
+                    for item_key, ctx in zip(keys, ctxs):
+                        first_ctx.setdefault(item_key, ctx)
+                    miss_ctxs = [first_ctx[item_key] for item_key in miss_keys]
+                # Transport I/O runs outside the memo lock; two threads
+                # missing the same key both fetch, but engine results are
+                # deterministic so the duplicate insert is identical.
+                fetched = fetch(miss_items, miss_keys, miss_ctxs)
+                memo.fill(miss_keys, fetched)
+                resolved.update(zip(miss_keys, fetched))
+            results = [resolved[item_key] for item_key in keys]
+        if live is None:
+            return results
+        out: List = [None] * count
+        for index, result in zip(live, results):
+            out[index] = result
+        return out
+
+    def clear_caches(self) -> None:
+        self.local.clear_caches()
+        self._plan_memo.clear()
+        self._hint_memo.clear()
+
+
 # ----------------------------------------------------------------------
 # sharded backend
 # ----------------------------------------------------------------------
@@ -266,7 +467,7 @@ def _engine_worker_main(conn, spec) -> None:
     conn.close()
 
 
-class ShardedBackend:
+class ShardedBackend(MemoizingClient):
     """A worker-pool engine: batch calls fan out across CPU cores.
 
     The parent keeps a local :class:`Database` for metadata (schema,
@@ -298,9 +499,9 @@ class ShardedBackend:
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
+        super().__init__(database if database is not None else spec.build_database())
         self.spec = spec
         self.num_workers = num_workers
-        self.local = database if database is not None else spec.build_database()
         if start_method is None:
             start_method = (
                 "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
@@ -308,7 +509,6 @@ class ShardedBackend:
         ctx = multiprocessing.get_context(start_method)
         self._conns = []
         self._procs = []
-        self._closed = False
         self._worker_executions = [0] * num_workers
         # One lock per worker pipe, held across a full send→recv round
         # trip; a multi-worker call takes its locks in worker order.
@@ -348,9 +548,6 @@ class ShardedBackend:
         if startup_error is not None:
             self.close()
             raise startup_error
-        # Parent-side memos for the two planning RPCs (see PlanningMemo).
-        self._plan_memo = PlanningMemo(self.local.hint_cache_capacity)
-        self._hint_memo = PlanningMemo(self.local.hint_cache_capacity)
 
     # ------------------------------------------------------------------
     # pool plumbing
@@ -374,10 +571,6 @@ class ShardedBackend:
 
     def _route(self, key: str) -> int:
         return zlib.crc32(key.encode("utf-8")) % self.num_workers
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("ShardedBackend is closed")
 
     def _scatter(
         self, kind: str, items: Sequence, keys: Sequence[str], ctxs=None
@@ -524,215 +717,34 @@ class ShardedBackend:
             except OSError:  # pragma: no cover - platform-dependent
                 pass
 
-    def __enter__(self) -> "ShardedBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC ordering varies
-        try:
-            self.close()
-        except Exception:
-            pass
-
     # ------------------------------------------------------------------
-    # metadata: served by the parent-side engine
+    # transport hooks (see MemoizingClient)
     # ------------------------------------------------------------------
-    @property
-    def dataset(self) -> Dataset:
-        return self.local.dataset
-
-    @property
-    def schema(self):
-        return self.local.schema
-
-    @property
-    def statistics(self):
-        return self.local.statistics
-
-    @property
-    def storage(self):
-        return self.local.storage
-
     @property
     def executions(self) -> int:
         """Real executions across the pool (worker + parent cache misses)."""
         return self.local.executions + sum(self._worker_executions)
 
-    def sql(self, text: str, name: str = "") -> Query:
-        return self.local.sql(text, name=name)
+    def _fetch_plans(self, queries, options, keys, ctxs) -> List:
+        return self._scatter("plan_many", (queries, options), keys, ctxs=ctxs)
 
-    def explain(self, plan: PlanNode) -> str:
-        return self.local.explain(plan)
+    def _fetch_hints(self, requests, keys, ctxs) -> List:
+        routes = ["|".join((key[0],) + key[1] + key[2]) for key in keys]
+        return self._scatter("hint_many", requests, routes, ctxs=ctxs)
 
-    # ------------------------------------------------------------------
-    # planning
-    # ------------------------------------------------------------------
-    def plan(
-        self, query: Query, options: Optional[OptimizerOptions] = None, ctx=None
-    ) -> PlanningResult:
-        if context_expired(ctx):
-            raise_deadline(ctx, "planning")
-        return self.plan_many([query], options)[0]
-
-    def _split_expired(self, ctxs, count: int):
-        """Indices of live items, or ``None`` when nothing expired."""
-        if ctxs is None:
-            return None
-        if len(ctxs) != count:
-            raise ValueError(f"ctxs length {len(ctxs)} != batch length {count}")
-        if not any(context_expired(ctx) for ctx in ctxs):
-            return None
-        return [i for i, ctx in enumerate(ctxs) if not context_expired(ctx)]
-
-    @staticmethod
-    def _ctx_for_misses(keys, ctxs, miss_keys):
-        """The first-seen context per missed key, aligned with ``miss_keys``.
-
-        The memo dedups by key, so a key shared by several requests is
-        fetched once — under the first requester's deadline (parent-side
-        expiry was already filtered, so every ctx here is live).
-        """
-        if ctxs is None:
-            return None
-        ctx_by_key: Dict = {}
-        for key, ctx in zip(keys, ctxs):
-            ctx_by_key.setdefault(key, ctx)
-        return [ctx_by_key.get(key) for key in miss_keys]
-
-    def plan_many(
-        self,
-        queries: Sequence[Query],
-        options: Optional[OptimizerOptions] = None,
-        ctxs=None,
-    ) -> List[Optional[PlanningResult]]:
-        self._check_open()
-        live = self._split_expired(ctxs, len(queries))
-        if live is not None:
-            # Expired items never reach the memo or a pipe; their slots
-            # stay None while the live subset goes through the normal path.
-            sub = self.plan_many(
-                [queries[i] for i in live], options, [ctxs[i] for i in live]
-            )
-            out: List[Optional[PlanningResult]] = [None] * len(queries)
-            for index, result in zip(live, sub):
-                out[index] = result
-            return out
-        suffix = "" if options is None else f"@{options.signature()}"
-        keys = [query.signature() + suffix for query in queries]
-        resolved, miss_keys, miss_queries = self._plan_memo.lookup(keys, queries)
-        if miss_queries:
-            # IPC happens outside the memo lock; two threads missing the
-            # same key both scatter, but worker results are deterministic
-            # so the duplicate insert is identical.
-            results = self._scatter(
-                "plan_many",
-                (miss_queries, options),
-                miss_keys,
-                ctxs=self._ctx_for_misses(keys, ctxs, miss_keys),
-            )
-            self._plan_memo.fill(miss_keys, results)
-            for key, result in zip(miss_keys, results):
-                resolved[key] = result
-        return [resolved[key] for key in keys]
-
-    def plan_with_hints(
-        self,
-        query: Query,
-        join_order: Sequence[str],
-        join_methods: Sequence[str],
-        ctx=None,
-    ) -> PlanningResult:
-        if context_expired(ctx):
-            raise_deadline(ctx, "hint completion")
-        return self.plan_with_hints_many([(query, join_order, join_methods)])[0]
-
-    def plan_with_hints_many(
-        self,
-        requests: Sequence[Tuple[Query, Sequence[str], Sequence[str]]],
-        ctxs=None,
-    ) -> List[Optional[PlanningResult]]:
-        self._check_open()
-        live = self._split_expired(ctxs, len(requests))
-        if live is not None:
-            sub = self.plan_with_hints_many(
-                [requests[i] for i in live], [ctxs[i] for i in live]
-            )
-            out: List[Optional[PlanningResult]] = [None] * len(requests)
-            for index, result in zip(live, sub):
-                out[index] = result
-            return out
-        normalized = [
-            (query, tuple(join_order), tuple(join_methods))
-            for query, join_order, join_methods in requests
-        ]
-        memo_keys = [
-            (query.signature(), join_order, join_methods)
-            for query, join_order, join_methods in normalized
-        ]
-        resolved, miss_keys, miss_requests = self._hint_memo.lookup(memo_keys, normalized)
-        if miss_requests:
-            results = self._scatter(
-                "hint_many",
-                miss_requests,
-                ["|".join((key[0],) + key[1] + key[2]) for key in miss_keys],
-                ctxs=self._ctx_for_misses(memo_keys, ctxs, miss_keys),
-            )
-            self._hint_memo.fill(miss_keys, results)
-            for memo_key, result in zip(miss_keys, results):
-                resolved[memo_key] = result
-        return [resolved[memo_key] for memo_key in memo_keys]
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def execute(
-        self,
-        query: Query,
-        plan: PlanNode,
-        timeout_ms: Optional[float] = None,
-        use_cache: bool = True,
-        ctx=None,
-    ) -> ExecutionResult:
-        if context_expired(ctx):
-            raise_deadline(ctx, "execution")
-        if not use_cache:
-            # Uncached timing studies must not pollute worker caches.
-            return self.local.execute(query, plan, timeout_ms=timeout_ms, use_cache=False)
-        return self.execute_many([(query, plan, timeout_ms)])[0]
-
-    def execute_many(
-        self,
-        requests: Sequence[Tuple[Query, PlanNode, Optional[float]]],
-        ctxs=None,
-    ) -> List[Optional[ExecutionResult]]:
-        live = self._split_expired(ctxs, len(requests))
-        if live is not None:
-            sub = self.execute_many(
-                [requests[i] for i in live], [ctxs[i] for i in live]
-            )
-            out: List[Optional[ExecutionResult]] = [None] * len(requests)
-            for index, result in zip(live, sub):
-                out[index] = result
-            return out
-        keys = [
+    def _fetch_executions(self, requests, ctxs) -> List:
+        routes = [
             f"{query.signature()}#{plan_signature(plan)}"
             for query, plan, _timeout in requests
         ]
-        return self._scatter("execute_many", list(requests), keys, ctxs=ctxs)
+        return self._scatter("execute_many", requests, routes, ctxs=ctxs)
 
-    def original_latency(self, query: Query) -> float:
-        planning = self.plan(query)
-        return self.execute(query, planning.plan).latency_ms
+    def _execute_uncached(self, query, plan, timeout_ms, ctx) -> ExecutionResult:
+        # Uncached timing studies must not pollute worker caches.
+        return self.local.execute(query, plan, timeout_ms=timeout_ms, use_cache=False)
 
-    # ------------------------------------------------------------------
-    # cache control / stats
-    # ------------------------------------------------------------------
     def clear_caches(self) -> None:
-        self.local.clear_caches()
-        self._plan_memo.clear()
-        self._hint_memo.clear()
+        super().clear_caches()
         self._broadcast("clear_caches")
 
     def stats(self) -> Dict[str, float]:

@@ -53,8 +53,8 @@ def context_expired(ctx) -> bool:
     return ctx is not None and ctx.expired()
 
 
-def raise_deadline(ctx, what: str) -> None:
-    """Raise the typed deadline error for an expired singleton call.
+def deadline_error(ctx, what: str):
+    """The typed deadline error for a request that expired before ``what``.
 
     Imported lazily: :class:`~repro.core.inference.DeadlineExceededError`
     lives in :mod:`repro.core`, which itself imports the engine layer —
@@ -62,10 +62,35 @@ def raise_deadline(ctx, what: str) -> None:
     """
     from repro.core.inference import DeadlineExceededError
 
-    raise DeadlineExceededError(
+    return DeadlineExceededError(
         f"request {getattr(ctx, 'request_id', '?')} exceeded its "
         f"{getattr(ctx, 'deadline_s', None)}s deadline before {what}"
     )
+
+
+def raise_deadline(ctx, what: str) -> None:
+    """Raise :func:`deadline_error` for an expired singleton call."""
+    raise deadline_error(ctx, what)
+
+
+def split_live(ctxs, count: int) -> Optional[List[int]]:
+    """Indices of a batch's live items, or ``None`` when none expired.
+
+    ``ctxs`` is aligned with a batch of ``count`` items (``None`` means
+    the batch carries no contexts).  ``None`` tells the caller to run the
+    whole batch unchanged — the no-deadline path stays byte-identical;
+    otherwise the caller runs only the live indices and puts their results
+    back in order, expired slots holding its own marker.  Each context is
+    checked once, so an item cannot expire between two checks.
+    """
+    if ctxs is None:
+        return None
+    if len(ctxs) != count:
+        raise ValueError(f"ctxs length {len(ctxs)} != batch length {count}")
+    expired = [context_expired(ctx) for ctx in ctxs]
+    if not any(expired):
+        return None
+    return [index for index, dead in enumerate(expired) if not dead]
 
 
 @dataclass

@@ -12,8 +12,10 @@ connections, each guarded by a lock held across one full send→recv round
 trip, so concurrent tenants (e.g. a :class:`~repro.api.group.ServiceGroup`
 sharing one ``RemoteBackend``) pipeline whole batches without interleaving
 bytes on a socket.  ``*_many`` calls ship as single frames — one round
-trip per batch, not per item — and planning RPCs are memoized client-side
-(:class:`~repro.engine.backend.PlanningMemo`).
+trip per batch, not per item.  The memo, the deadline split and the
+metadata mirror are the shared client half,
+:class:`~repro.engine.backend.MemoizingClient`; this module is only the
+transport.
 
 Failure surface, split by whether retrying can help: timeouts and dropped
 connections get a bounded reconnect (requests are idempotent — the engine
@@ -37,18 +39,11 @@ import pickle
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.engine.backend import PlanningMemo
-from repro.engine.database import (
-    Database,
-    Dataset,
-    PlanningResult,
-    context_expired,
-    dataset_fingerprint,
-    raise_deadline,
-)
+from repro.engine.backend import MemoizingClient
+from repro.engine.database import Database, dataset_fingerprint
 from repro.engine.wire import (
     DEFAULT_MAX_FRAME_BYTES,
     FrameCorruptionError,
@@ -58,9 +53,6 @@ from repro.engine.wire import (
     write_frame,
 )
 from repro.executor.engine import ExecutionResult
-from repro.optimizer.dp import OptimizerOptions
-from repro.optimizer.plans import PlanNode, plan_signature
-from repro.sql.ast import Query
 
 
 class RemoteEngineError(RuntimeError):
@@ -151,7 +143,7 @@ class _Connection:
                     pass
 
 
-class RemoteBackend:
+class RemoteBackend(MemoizingClient):
     """An ``EngineBackend`` served by a ``repro-engine`` TCP server.
 
     ``spec``/``database`` mirror the dataset client-side (at least one is
@@ -179,8 +171,8 @@ class RemoteBackend:
             raise ValueError("pool_size must be >= 1")
         self.url = url
         self._host, self._port = parse_engine_url(url)
+        super().__init__(database if database is not None else spec.build_database())
         self.spec = spec
-        self.local = database if database is not None else spec.build_database()
         self.timeout_s = timeout_s
         self.max_reconnects = max_reconnects
         self.reconnect_backoff_s = reconnect_backoff_s
@@ -193,9 +185,6 @@ class RemoteBackend:
         self._rr = 0
         self._state_lock = threading.Lock()
         self._remote_executions = 0
-        self._closed = False
-        self._plan_memo = PlanningMemo(self.local.hint_cache_capacity)
-        self._hint_memo = PlanningMemo(self.local.hint_cache_capacity)
         # Per-op RPC counter in the process-global registry (declared
         # before the handshake below, which is itself an RPC).
         self._m_calls = obs.get_registry().counter(
@@ -402,28 +391,13 @@ class RemoteBackend:
                 f"to serve plans from a different database"
             )
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("RemoteBackend is closed")
-
     # ------------------------------------------------------------------
-    # metadata: served by the client-side mirror engine
+    # transport hooks (see MemoizingClient)
     # ------------------------------------------------------------------
-    @property
-    def dataset(self) -> Dataset:
-        return self.local.dataset
-
-    @property
-    def schema(self):
-        return self.local.schema
-
-    @property
-    def statistics(self):
-        return self.local.statistics
-
-    @property
-    def storage(self):
-        return self.local.storage
+    # Defined on this class, not only inherited, so per-class method
+    # wrappers (the layer tracing in perfbench/bench_trace.py) see them.
+    plan_many = MemoizingClient.plan_many
+    plan_with_hints_many = MemoizingClient.plan_with_hints_many
 
     @property
     def executions(self) -> int:
@@ -432,173 +406,26 @@ class RemoteBackend:
             remote = self._remote_executions
         return self.local.executions + remote
 
-    def sql(self, text: str, name: str = "") -> Query:
-        # Parse/bind is a pure function of the (identical, fingerprint-
-        # checked) schema — binding locally saves a round trip per query.
-        # The server serves a "sql" RPC too, for clients without a mirror.
-        return self.local.sql(text, name=name)
+    def _fetch_plans(self, queries, options, keys, ctxs) -> List:
+        return self._call("plan_many", (queries, options), ctxs=ctxs)
 
-    def explain(self, plan: PlanNode) -> str:
-        return self.local.explain(plan)
+    def _fetch_hints(self, requests, keys, ctxs) -> List:
+        return self._call("hint_many", requests, ctxs=ctxs)
 
-    # ------------------------------------------------------------------
-    # planning
-    # ------------------------------------------------------------------
-    def _split_expired(self, ctxs, count: int):
-        """Indices of live items, or ``None`` when nothing expired.
+    def _fetch_executions(self, requests, ctxs) -> List:
+        return self._call("execute_many", requests, ctxs=ctxs)
 
-        Client-side enforcement: runs against any server version, so a v1
-        server never sees items whose budgets were already gone.
-        """
-        if ctxs is None:
-            return None
-        if len(ctxs) != count:
-            raise ValueError(f"ctxs length {len(ctxs)} != batch length {count}")
-        if not any(context_expired(ctx) for ctx in ctxs):
-            return None
-        return [i for i, ctx in enumerate(ctxs) if not context_expired(ctx)]
+    def _execute_uncached(self, query, plan, timeout_ms, ctx) -> ExecutionResult:
+        # Uncached timing studies bypass the server's latency cache
+        # (Database.execute skips the cache write for them too).
+        return self._call(
+            "execute",
+            (query, plan, timeout_ms, False),
+            ctxs=None if ctx is None else [ctx],
+        )
 
-    @staticmethod
-    def _ctx_for_misses(keys, ctxs, miss_keys):
-        """First-seen context per missed memo key, aligned with ``miss_keys``."""
-        if ctxs is None:
-            return None
-        ctx_by_key: Dict = {}
-        for key, ctx in zip(keys, ctxs):
-            ctx_by_key.setdefault(key, ctx)
-        return [ctx_by_key.get(key) for key in miss_keys]
-
-    def plan(
-        self, query: Query, options: Optional[OptimizerOptions] = None, ctx=None
-    ) -> PlanningResult:
-        if context_expired(ctx):
-            raise_deadline(ctx, "planning")
-        return self.plan_many([query], options)[0]
-
-    def plan_many(
-        self,
-        queries: Sequence[Query],
-        options: Optional[OptimizerOptions] = None,
-        ctxs=None,
-    ) -> List[Optional[PlanningResult]]:
-        live = self._split_expired(ctxs, len(queries))
-        if live is not None:
-            sub = self.plan_many(
-                [queries[i] for i in live], options, [ctxs[i] for i in live]
-            )
-            out: List[Optional[PlanningResult]] = [None] * len(queries)
-            for index, result in zip(live, sub):
-                out[index] = result
-            return out
-        suffix = "" if options is None else f"@{options.signature()}"
-        keys = [query.signature() + suffix for query in queries]
-        resolved, miss_keys, miss_queries = self._plan_memo.lookup(keys, queries)
-        if miss_queries:
-            results = self._call(
-                "plan_many",
-                (miss_queries, options),
-                ctxs=self._ctx_for_misses(keys, ctxs, miss_keys),
-            )
-            self._plan_memo.fill(miss_keys, results)
-            for key, result in zip(miss_keys, results):
-                resolved[key] = result
-        return [resolved[key] for key in keys]
-
-    def plan_with_hints(
-        self,
-        query: Query,
-        join_order: Sequence[str],
-        join_methods: Sequence[str],
-        ctx=None,
-    ) -> PlanningResult:
-        if context_expired(ctx):
-            raise_deadline(ctx, "hint completion")
-        return self.plan_with_hints_many([(query, join_order, join_methods)])[0]
-
-    def plan_with_hints_many(
-        self,
-        requests: Sequence[Tuple[Query, Sequence[str], Sequence[str]]],
-        ctxs=None,
-    ) -> List[Optional[PlanningResult]]:
-        live = self._split_expired(ctxs, len(requests))
-        if live is not None:
-            sub = self.plan_with_hints_many(
-                [requests[i] for i in live], [ctxs[i] for i in live]
-            )
-            out: List[Optional[PlanningResult]] = [None] * len(requests)
-            for index, result in zip(live, sub):
-                out[index] = result
-            return out
-        normalized = [
-            (query, tuple(join_order), tuple(join_methods))
-            for query, join_order, join_methods in requests
-        ]
-        memo_keys = [
-            (query.signature(), join_order, join_methods)
-            for query, join_order, join_methods in normalized
-        ]
-        resolved, miss_keys, miss_requests = self._hint_memo.lookup(memo_keys, normalized)
-        if miss_requests:
-            results = self._call(
-                "hint_many",
-                miss_requests,
-                ctxs=self._ctx_for_misses(memo_keys, ctxs, miss_keys),
-            )
-            self._hint_memo.fill(miss_keys, results)
-            for memo_key, result in zip(miss_keys, results):
-                resolved[memo_key] = result
-        return [resolved[memo_key] for memo_key in memo_keys]
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def execute(
-        self,
-        query: Query,
-        plan: PlanNode,
-        timeout_ms: Optional[float] = None,
-        use_cache: bool = True,
-        ctx=None,
-    ) -> ExecutionResult:
-        if context_expired(ctx):
-            raise_deadline(ctx, "execution")
-        if not use_cache:
-            # Uncached timing studies bypass the server's latency cache
-            # (Database.execute skips the cache write for them too).
-            return self._call(
-                "execute",
-                (query, plan, timeout_ms, False),
-                ctxs=None if ctx is None else [ctx],
-            )
-        return self.execute_many([(query, plan, timeout_ms)])[0]
-
-    def execute_many(
-        self,
-        requests: Sequence[Tuple[Query, PlanNode, Optional[float]]],
-        ctxs=None,
-    ) -> List[Optional[ExecutionResult]]:
-        live = self._split_expired(ctxs, len(requests))
-        if live is not None:
-            sub = self.execute_many(
-                [requests[i] for i in live], [ctxs[i] for i in live]
-            )
-            out: List[Optional[ExecutionResult]] = [None] * len(requests)
-            for index, result in zip(live, sub):
-                out[index] = result
-            return out
-        return self._call("execute_many", list(requests), ctxs=ctxs)
-
-    def original_latency(self, query: Query) -> float:
-        planning = self.plan(query)
-        return self.execute(query, planning.plan).latency_ms
-
-    # ------------------------------------------------------------------
-    # cache control / stats
-    # ------------------------------------------------------------------
     def clear_caches(self) -> None:
-        self.local.clear_caches()
-        self._plan_memo.clear()
-        self._hint_memo.clear()
+        super().clear_caches()
         self._call("clear_caches", None)
 
     def stats(self) -> Dict[str, float]:
@@ -633,15 +460,3 @@ class RemoteBackend:
             # server side is mid-write on is safe (the server tolerates
             # client disconnects), and close must never hang.
             conn.drop()
-
-    def __enter__(self) -> "RemoteBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC ordering varies
-        try:
-            self.close()
-        except Exception:
-            pass

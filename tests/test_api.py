@@ -10,10 +10,12 @@ Covers the serving contracts the facade promises:
 * optimizers are constructed by name through the registry;
 * failures surface as one typed OptimizeError (failed ticket on the
   queued path);
-* legacy import paths still resolve but warn.
+* the top-level package exports stay warning-free, and ``setup.py``
+  ships ``repro.__version__``.
 """
 
-import sys
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,34 +376,20 @@ class TestServiceStats:
 
 
 # ----------------------------------------------------------------------
-# deprecation shims
+# top-level package surface
 # ----------------------------------------------------------------------
 class TestDeprecations:
-    def test_rl_buffer_shim_warns_and_resolves(self):
-        sys.modules.pop("repro.rl.buffer", None)
-        with pytest.warns(DeprecationWarning, match="repro.rl.buffer is deprecated"):
-            import repro.rl.buffer as shim
-        from repro.core.buffer import Batch, RolloutBuffer, Transition
-
-        assert shim.Transition is Transition
-        assert shim.Batch is Batch
-        assert shim.RolloutBuffer is RolloutBuffer
-
-    def test_top_level_trainer_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning, match="repro.FossTrainer is deprecated"):
-            cls = repro.FossTrainer
-        from repro.core.trainer import FossTrainer
-
-        assert cls is FossTrainer
-
-    def test_top_level_optimizer_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning, match="repro.FossOptimizer is deprecated"):
-            cls = repro.FossOptimizer
-        from repro.core.inference import FossOptimizer
-
-        assert cls is FossOptimizer
-
     def test_undeprecated_exports_stay_silent(self, recwarn):
         assert repro.FossConfig is FossConfig
         assert callable(repro.build_workload_by_name)
         assert not [w for w in recwarn.list if issubclass(w.category, DeprecationWarning)]
+
+
+class TestVersion:
+    def test_setup_py_ships_the_package_version(self, monkeypatch):
+        import setuptools
+
+        captured = {}
+        monkeypatch.setattr(setuptools, "setup", lambda **kwargs: captured.update(kwargs))
+        runpy.run_path(str(Path(__file__).resolve().parents[1] / "setup.py"))
+        assert captured["version"] == repro.__version__

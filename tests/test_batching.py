@@ -112,14 +112,14 @@ class TestScoreCacheInvalidation:
         env.advantage_many(
             [(ctx, ctx.original_plan, 0, alt, 1), (ctx, alt, 1, ctx.original_plan, 0)]
         )
-        assert len(env._score_cache) == 2
+        assert len(env.score_cache._scores) == 2
         old_version = env.aam_version
 
         env.bump_aam_version()
-        assert env._score_cache == {}, "bump must invalidate the batched score cache"
+        assert env.score_cache._scores == {}, "bump must invalidate the batched score cache"
 
         env.advantage_many([(ctx, ctx.original_plan, 0, alt, 1)])
-        assert all(key[0] == old_version + 1 for key in env._score_cache)
+        assert all(key[0] == old_version + 1 for key in env.score_cache._scores)
 
     def test_batched_scores_match_singleton_scores(self, job_workload):
         trainer = FossTrainer(job_workload, batching_config())
@@ -220,10 +220,10 @@ class TestBatchedInference:
         query = job_workload.test[0].query
         optimizer.optimize(query)
         env = optimizer._environment
-        assert env._score_cache
+        assert env.score_cache._scores
         version_before = trainer.aam.version
         trainer.train_aam()
         assert trainer.aam.version == version_before + 1
         optimizer.optimize(query)
         # Entries from the stale version must not answer post-retrain queries.
-        assert any(key[0] == trainer.aam.version for key in env._score_cache)
+        assert any(key[0] == trainer.aam.version for key in env.score_cache._scores)

@@ -37,6 +37,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.api import (
     STAGES,
     AdmissionRejectedError,
@@ -48,6 +49,7 @@ from repro.api import (
 )
 from repro.core.aam import AAMConfig
 from repro.core.icp import IncompletePlan
+from repro.core.inference import FossOptimizer
 from repro.engine.backend import ShardedBackend
 from repro.engine.remote import (
     EngineServer,
@@ -381,6 +383,31 @@ class TestBackendDeadlines:
         ]
         assert steered == baseline
 
+    def test_plan_with_hints_many_skips_expired(self, backend, job_workload):
+        local = job_workload.database
+        requests = []
+        for wq in job_workload.train[6:9]:
+            icp = IncompletePlan.extract(local.plan(wq.query).plan)
+            requests.append((wq.query, icp.order, icp.methods))
+        baseline = [plan_signature(local.plan_with_hints(*r).plan) for r in requests]
+        results = backend.plan_with_hints_many(
+            requests, ctxs=[live_ctx(), expired_ctx(), None]
+        )
+        assert results[1] is None
+        assert plan_signature(results[0].plan) == baseline[0]
+        assert plan_signature(results[2].plan) == baseline[2]
+
+    def test_duplicate_key_is_fetched_under_its_first_live_ctx(
+        self, backend, job_workload
+    ):
+        # The expired copy is dropped before deduplication, so the shared
+        # key travels under the live context instead of coming back None.
+        query = job_workload.train[9].query
+        baseline = plan_signature(job_workload.database.plan(query).plan)
+        results = backend.plan_many([query, query], ctxs=[expired_ctx(), live_ctx()])
+        assert results[0] is None
+        assert plan_signature(results[1].plan) == baseline
+
 
 class TestOptimizerDeadlines:
     def test_optimize_many_slots_typed_errors_mid_batch(self, api_session, job_workload):
@@ -399,6 +426,29 @@ class TestOptimizerDeadlines:
             api_session.optimizer().optimize(
                 job_workload.train[0].query, ctx=expired_ctx()
             )
+
+    def test_traced_batch_joins_every_cohort(self, api_session, job_workload):
+        base = api_session.optimizer()
+        optimizer = FossOptimizer(
+            base.database, base.planners, base.aam, base.encoder, base.max_steps,
+            episode_batch_size=2,
+        )
+        queries = [wq.query for wq in job_workload.train[:5]]
+        previous = obs.set_enabled(True)
+        try:
+            ctx = RequestContext.mint(tenant="t", traced=True)
+            outcomes = optimizer.optimize_many(queries, ctxs=[ctx] * len(queries))
+            planned = [
+                span.attrs["batch"]
+                for span in obs.get_tracer().spans(ctx.trace_id)
+                if span.name == "engine.batch" and span.attrs.get("op") == "plan_many"
+            ]
+        finally:
+            obs.get_tracer().clear()
+            obs.set_enabled(previous)
+        assert not any(isinstance(outcome, Exception) for outcome in outcomes)
+        # Five queries in cohorts of two: every agent plans three cohorts.
+        assert sorted(planned) == sorted([2, 2, 1] * len(optimizer.planners))
 
 
 # ----------------------------------------------------------------------
